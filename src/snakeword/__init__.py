@@ -29,7 +29,6 @@ from .posets import (
 from .snake import (
     Edge,
     SnakeGraph,
-    anchor_tiles,
     enumerate_perfect_matchings,
     filter_region,
     filter_region_block,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnAntichainError, NotASubwordError
+from .errors import InvariantError, NotAnAntichainError
 from .posets import extrema, is_antichain, poset_from_word, up_closure
 from .snake import Edge, filter_region, matching_for_subword
 from .words import BinaryWord, is_subword, leftmost_embedding
@@ -31,23 +31,23 @@ def antichain_to_subword(word: BinaryWord, antichain) -> BinaryWord:
     pieces = ["1", word.bits[1 : items[0]]]
     for prev, cur in zip(items, items[1:]):
         jump = next(m for m in marks if m > prev)
-        # the jump point sits strictly between consecutive antichain elements
-        assert prev < jump < cur and jump not in items
+        if not prev < jump < cur:
+            raise InvariantError(f"no extremum between {prev} and {cur}")
         pieces.append(word.bits[jump:cur])
     result = BinaryWord("".join(pieces))
-    assert is_subword(result, word), "antichain mapped outside the subword set"
+    if not is_subword(result, word):
+        raise InvariantError("antichain mapped outside the subword set")
     return result
 
 
 def subword_to_antichain(word: BinaryWord, s: BinaryWord) -> tuple[int, ...]:
     """Map a subword to the antichain of last positions of its embedding's
     maximal consecutive runs."""
-    if not is_subword(s, word):
-        raise NotASubwordError(f"{s.bits!r} is not a subword of {word.bits!r}")
     if not len(s):
         return ()
     result = tuple(end for _, end in leftmost_embedding(s, word).blocks)
-    assert is_antichain(poset_from_word(word), result)
+    if not is_antichain(poset_from_word(word), result):
+        raise InvariantError(f"{result} is not an antichain")
     return result
 
 
@@ -82,16 +82,15 @@ class CorrespondenceRecord:
 
 
 def full_correspondence(word: BinaryWord, s: BinaryWord) -> CorrespondenceRecord:
-    """Compute subword, antichain, filter, and matching together, asserting
-    they agree with one another."""
-    if not is_subword(s, word):
-        raise NotASubwordError(f"{s.bits!r} is not a subword of {word.bits!r}")
-    poset = poset_from_word(word)
+    """Compute subword, antichain, filter, and matching together, checking
+    that they agree with one another."""
     antichain = subword_to_antichain(word, s)
-    order_filter = up_closure(poset, antichain)
+    order_filter = up_closure(poset_from_word(word), antichain)
     matching = matching_for_subword(word, s)
-    assert filter_region(word, s) == order_filter
-    assert antichain_to_subword(word, antichain) == s
+    if filter_region(word, s) != order_filter:
+        raise InvariantError(f"filter region of {s.bits!r} is not its up-closure")
+    if antichain_to_subword(word, antichain) != s:
+        raise InvariantError(f"antichain {antichain} does not map back to {s.bits!r}")
 
     if len(s):
         embedding = leftmost_embedding(s, word)

@@ -33,7 +33,11 @@ KIND_FORMATS = {
 def _resolve_cap(args: argparse.Namespace) -> int:
     if args.cap is not None:
         return args.cap
-    return int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
+    value = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
+    try:
+        return int(value)
+    except ValueError:
+        raise SnakewordError(f"{CAP_ENV_VAR} is not an integer: {value!r}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -174,6 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         scope = {"word": args.word}
     else:
         bound = args.max_length
+        if bound < 1:
+            raise SnakewordError(f"--max-length must be at least 1, got {bound}")
         if bound > verify.SWEEP_GUARD and not args.force:
             raise SnakewordError(
                 f"--max-length {bound} exceeds the guard {verify.SWEEP_GUARD}; "

@@ -44,3 +44,7 @@ class NotAFilterError(SnakewordError):
 class NoQualifyingRegionError(SnakewordError):
     """No run of tiles satisfies the filter-region condition (internal
     consistency failure; unreachable for well-formed inputs)."""
+
+
+class InvariantError(SnakewordError):
+    """An internal invariant failed to hold (a bug, not bad input)."""

@@ -20,8 +20,8 @@ from .errors import (
     NotAFilterError,
     NotAnAntichainError,
 )
-from .trie import TrieNode, clone
-from .words import DEFAULT_CAP, BinaryWord
+from .trie import TrieNode, spine_with_copies
+from .words import DEFAULT_CAP, BinaryWord, runs
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,13 @@ def extrema(poset: PiecewisePoset) -> ExtremaList:
 
 
 def is_antichain(poset: PiecewisePoset, elements: Iterable[int]) -> bool:
-    """True iff the elements are pairwise incomparable (the empty set is)."""
+    """True iff the elements are pairwise incomparable (the empty set is).
+
+    On a fence, a comparable pair spans one monotone stretch, which holds
+    every element in between, so testing neighbouring pairs is enough."""
     items = sorted(set(elements))
     poset._check(*items)
-    return not any(
-        poset.comparable(a, b)
-        for k, a in enumerate(items)
-        for b in items[k + 1 :]
-    )
+    return not any(poset.comparable(a, b) for a, b in zip(items, items[1:]))
 
 
 def enumerate_antichains(
@@ -189,11 +188,7 @@ def antichain_of_path(labels: Iterable[int]) -> tuple[int, ...]:
         raise MalformedPathError(f"path must start at 0: {seq}")
     if any(b <= a for a, b in zip(seq, seq[1:])):
         raise MalformedPathError(f"path must be strictly increasing: {seq}")
-    maxes = []
-    for k, value in enumerate(seq):
-        if k + 1 == len(seq) or seq[k + 1] != value + 1:
-            maxes.append(value)
-    return tuple(m for m in maxes if m > 0)
+    return tuple(last for _, last in runs(seq) if last > 0)
 
 
 @dataclass(frozen=True)
@@ -210,34 +205,12 @@ class AntichainLabel:
 
 
 def antichain_trie(poset: PiecewisePoset) -> TrieNode:
-    """The copy-attachment construction of the antichain trie.
-
-    Start from the vertical linear tree labeled 0..d. Working from the
-    rightmost interior extremum leftwards, snapshot the subtree rooted at
-    the spine node one past the extremum and attach a copy as the right
-    child of every spine node whose label lies in the half-open interval
-    from the previous extremum (inclusive) up to this one (exclusive).
-    With at most two extrema the trie is the bare spine.
-
-    Every node ends up labeled with an :class:`AntichainLabel`.
-    """
-    d = poset.d
-    spine = [TrieNode(label=0)]
-    for i in range(1, d + 1):
-        node = TrieNode(label=i)
-        spine[i - 1].left = node
-        spine.append(node)
-
-    ext = extrema(poset)
-    if ext.interior_count > 0:
-        marks = ext.positions
-        for n in range(ext.interior_count, 0, -1):
-            source = spine[marks[n] + 1]
-            for p in range(marks[n - 1], marks[n]):
-                spine[p].right = clone(source)
-
-    _annotate(spine[0], [])
-    return spine[0]
+    """The antichain trie: the spine on levels 0..d with copies cut at the
+    interior extrema (:func:`~snakeword.trie.spine_with_copies`), every node
+    labeled with an :class:`AntichainLabel`."""
+    root = spine_with_copies(poset.d, extrema(poset).positions[1:-1])
+    _annotate(root, [])
+    return root
 
 
 def _annotate(node: TrieNode, path: list[int]) -> None:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 
+from .bijections import subword_to_antichain
 from .posets import AntichainLabel, PiecewisePoset, extrema
 from .snake import (
     Edge,
     SnakeGraph,
-    anchor_tiles,
     filter_region,
     filter_region_block,
     matching_for_subword,
@@ -170,7 +170,7 @@ def subword_matching_json_dict(word: BinaryWord, s: BinaryWord) -> dict:
     """The matching attached to a subword, with its anchors and filter-region
     blocks; the payload behind the CLI's pm mapping."""
     graph = snake_from_word(word)
-    anchors = anchor_tiles(word, s) if len(s) else ()
+    anchors = subword_to_antichain(word, s)
     return {
         "word": word.bits,
         "subword": s.bits,

@@ -18,10 +18,10 @@ from functools import lru_cache
 from .errors import (
     CapExceededError,
     EmptyWordError,
+    InvariantError,
     NoQualifyingRegionError,
-    NotASubwordError,
 )
-from .words import DEFAULT_CAP, BinaryWord, is_subword, leftmost_embedding
+from .words import DEFAULT_CAP, BinaryWord, leftmost_embedding
 
 NORTH = "N"
 EAST = "E"
@@ -135,8 +135,8 @@ def sign_assignment(graph: SnakeGraph) -> dict[Edge, int]:
             ("east", 1 - north),
         ):
             edge = sides[name]
-            previous = signs.setdefault(edge, value)
-            assert previous == value, "inconsistent signs on a shared edge"
+            if signs.setdefault(edge, value) != value:
+                raise InvariantError("inconsistent signs on a shared edge")
     return signs
 
 
@@ -188,8 +188,10 @@ def minimal_matching(graph: SnakeGraph) -> frozenset[Edge]:
                 covered.update(free[0].endpoints)
                 uncovered.difference_update(free[0].endpoints)
                 progress = True
-        assert progress, "minimal matching propagation stalled"
-    assert is_perfect_matching(graph, chosen)
+        if not progress:
+            raise InvariantError("minimal matching propagation stalled")
+    if not is_perfect_matching(graph, chosen):
+        raise InvariantError("minimal matching is not a perfect matching")
     return frozenset(chosen)
 
 
@@ -264,23 +266,17 @@ def filter_region_block(graph: SnakeGraph, t: int) -> tuple[int, ...]:
     raise NoQualifyingRegionError(f"no qualifying run of tiles around tile {t}")
 
 
-def anchor_tiles(word: BinaryWord, s: BinaryWord) -> tuple[int, ...]:
-    """One tile per block of the leftmost embedding of s: the tile indexed
-    by the block's last host position (the tile just past the block's last
-    sign-sequence edge)."""
-    return tuple(end for _, end in leftmost_embedding(s, word).blocks)
-
-
 def filter_region(word: BinaryWord, s: BinaryWord) -> frozenset[int]:
     """Union of the filter-region blocks over the subword's anchors; empty
-    for the empty subword."""
-    if not is_subword(s, word):
-        raise NotASubwordError(f"{s.bits!r} is not a subword of {word.bits!r}")
+    for the empty subword. The anchors are the tiles indexed by the last
+    host position of each block of the leftmost embedding (the tile just
+    past the block's last sign-sequence edge)."""
     if not len(s):
         return frozenset()
+    blocks = leftmost_embedding(s, word).blocks
     graph = snake_from_word(word)
     tiles: set[int] = set()
-    for t in anchor_tiles(word, s):
+    for _, t in blocks:
         tiles.update(filter_region_block(graph, t))
     return frozenset(tiles)
 
@@ -288,14 +284,11 @@ def filter_region(word: BinaryWord, s: BinaryWord) -> frozenset[int]:
 def matching_for_subword(word: BinaryWord, s: BinaryWord) -> frozenset[Edge]:
     """The perfect matching attached to a subword: the symmetric difference
     of the filter region's boundary with the minimal matching. The empty
-    subword maps to the minimal matching itself."""
-    if not is_subword(s, word):
-        raise NotASubwordError(f"{s.bits!r} is not a subword of {word.bits!r}")
-    graph = snake_from_word(word)
-    base = minimal_matching(graph)
-    if not len(s):
-        return base
+    subword, whose filter region is empty, maps to the minimal matching
+    itself."""
     region = filter_region(word, s)
-    result = region_boundary(graph, region) ^ base
-    assert is_perfect_matching(graph, result), "filter region gave a non-matching"
+    graph = snake_from_word(word)
+    result = region_boundary(graph, region) ^ minimal_matching(graph)
+    if not is_perfect_matching(graph, result):
+        raise InvariantError("filter region gave a non-matching")
     return result

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     LeadingZeroError,
     NotASubwordError,
 )
-from .trie import TrieNode, clone
+from .trie import TrieNode, spine_with_copies
 
 #: Largest word length the brute-force enumerations accept by default.
 DEFAULT_CAP = 20
@@ -95,12 +96,35 @@ def is_subword(s: BinaryWord, w: BinaryWord) -> bool:
     The empty word is a subword of every word; nonempty candidates start
     with 1 by construction, matching the host's first letter.
     """
+    return len(_greedy(s.bits, w.bits)) == len(s)
+
+
+def _greedy(sub: str, bits: str) -> list[int]:
+    """1-indexed host positions of the leftmost-greedy embedding of ``sub``
+    into ``bits``; shorter than ``sub`` exactly when ``sub`` is not a
+    subword, because it stops at the first letter that does not fit."""
+    indices = []
     pos = 0
-    for c in s.bits:
-        pos = w.bits.find(c, pos) + 1
+    for c in sub:
+        pos = bits.find(c, pos) + 1
         if pos == 0:
-            return False
-    return True
+            break
+        indices.append(pos)
+    return indices
+
+
+def runs(values: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of consecutive integers in a nonempty increasing
+    sequence, as (first, last) pairs."""
+    found = []
+    run_start = prev = values[0]
+    for v in values[1:]:
+        if v != prev + 1:
+            found.append((run_start, prev))
+            run_start = v
+        prev = v
+    found.append((run_start, prev))
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -118,28 +142,16 @@ class Embedding:
     @property
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Maximal runs of consecutive host indices, as (start, end) pairs."""
-        runs = []
-        run_start = prev = self.indices[0]
-        for i in self.indices[1:]:
-            if i != prev + 1:
-                runs.append((run_start, prev))
-                run_start = i
-            prev = i
-        runs.append((run_start, prev))
-        return tuple(runs)
+        return runs(self.indices)
 
 
 def leftmost_embedding(s: BinaryWord, w: BinaryWord) -> Embedding:
     """Greedy left-to-right embedding of ``s`` into ``w``."""
     if not len(s):
         raise EmptyWordError("the empty word has no embedding indices")
-    indices = []
-    pos = 0
-    for c in s.bits:
-        pos = w.bits.find(c, pos) + 1
-        if pos == 0:
-            raise NotASubwordError(f"{s.bits!r} is not a subword of {w.bits!r}")
-        indices.append(pos)
+    indices = _greedy(s.bits, w.bits)
+    if len(indices) < len(s):
+        raise NotASubwordError(f"{s.bits!r} is not a subword of {w.bits!r}")
     return Embedding(s, w, tuple(indices))
 
 
@@ -161,17 +173,6 @@ def enumerate_subwords(word: BinaryWord, cap: int = DEFAULT_CAP) -> tuple[Binary
     return tuple(BinaryWord(b) for b in ordered)
 
 
-def _greedy_end(sub: str, bits: str) -> int:
-    """1-indexed host position where the leftmost embedding of ``sub`` ends.
-
-    Returns 0 for the empty subword. ``sub`` must be a subword of ``bits``.
-    """
-    pos = 0
-    for c in sub:
-        pos = bits.find(c, pos) + 1
-    return pos
-
-
 def naive_subword_trie(word: BinaryWord, cap: int = DEFAULT_CAP) -> TrieNode:
     """Prefix tree over the enumerated subword set.
 
@@ -186,7 +187,7 @@ def naive_subword_trie(word: BinaryWord, cap: int = DEFAULT_CAP) -> TrieNode:
 
     def build(sub: str) -> TrieNode:
         node = TrieNode(label=sub, edge=sub[-1] if sub else None)
-        end = _greedy_end(sub, bits)
+        end = _greedy(sub, bits)[-1] if sub else 0
         if end < len(bits):
             cont = bits[end]
             other = "0" if cont == "1" else "1"
@@ -201,41 +202,26 @@ def naive_subword_trie(word: BinaryWord, cap: int = DEFAULT_CAP) -> TrieNode:
 def lrs_subword_trie(word: BinaryWord) -> TrieNode:
     """The vertical-tree-plus-copies construction of the subword trie.
 
-    Start from the linear tree spelling ``word`` along left children. For
-    each block boundary, working bottom-up, snapshot the subtree rooted one
-    step past the boundary and attach a copy as the right child of every
-    spine node that sits strictly inside the preceding block (including the
-    node at which that block starts). Copies keep their edge letters, so the
-    new edge carries the letter found above the original subtree root.
-
-    For the first block the spine root is excluded as an attachment target:
-    a copy there would spell words starting with 0.
-    """
+    :func:`~snakeword.trie.spine_with_copies` cuts at every block end but
+    the last. The spine root is never an attachment target (a copy there
+    would spell words starting with 0), so a first block of length 1 is no
+    cut. Each node's edge letter is the letter at its level."""
     if not len(word):
         raise EmptyWordError("the trie construction needs a nonempty word")
-    spine = [TrieNode()]
-    for i in range(1, len(word) + 1):
-        node = TrieNode(edge=word.bits[i - 1])
-        spine[i - 1].left = node
-        spine.append(node)
-
-    ends = [b.end for b in factor_blocks(word)]
-    for level in range(len(ends) - 1, 0, -1):
-        source = spine[ends[level - 1] + 1]
-        lo = ends[level - 2] if level >= 2 else 1
-        for p in range(lo, ends[level - 1]):
-            spine[p].right = clone(source)
-
-    _spell_labels(spine[0])
-    return spine[0]
+    cuts = [b.end for b in factor_blocks(word)[:-1] if b.end > 1]
+    root = spine_with_copies(len(word), cuts)
+    _spell_labels(root, word.bits)
+    return root
 
 
-def _spell_labels(root: TrieNode) -> None:
-    """Set each node's label to the edge letters read from the root."""
+def _spell_labels(root: TrieNode, bits: str) -> None:
+    """Set each edge letter from its level, and each label to the edge
+    letters read from the root."""
     stack = [(root, "")]
     while stack:
         node, path = stack.pop()
         node.label = path
         for child in (node.left, node.right):
             if child is not None:
+                child.edge = bits[child.label - 1]
                 stack.append((child, path + child.edge))

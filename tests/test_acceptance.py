@@ -31,6 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
 BIJECTION_CHECKS = (
     "trie-equivalence",
     "antichain-trie",
+    "trie-isomorphism",
     "bijection-roundtrip",
     "pm-bijection",
     "filter-identity",

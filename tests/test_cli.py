@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from snakeword.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,6 +158,13 @@ class TestErrors:
         code, _, _ = run(capsys, "count", "101110", "--cap", "20")
         assert code == 0
 
+    def test_cap_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SNAKEWORD_CAP", "abc")
+        code, out, err = run(capsys, "count", "101")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: SNAKEWORD_CAP") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_single_word(self, capsys):
@@ -187,3 +196,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--max-length", "13")
         assert code == 2
         assert "--force" in err
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one(self, capsys, bound):
+        code, out, err = run(capsys, "verify", "--max-length", bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --max-length")

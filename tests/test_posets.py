@@ -25,6 +25,7 @@ from snakeword.posets import (
     up_closure,
 )
 from snakeword.trie import iter_nodes, node_count
+from snakeword.verify import all_words_up_to
 from snakeword.words import BinaryWord, parse_word
 
 
@@ -110,6 +111,16 @@ class TestAntichains:
     def test_range_check(self):
         with pytest.raises(IndexOutOfRangeError):
             is_antichain(poset("101"), {1, 9})
+
+    def test_neighbour_test_matches_pairwise(self):
+        for word in all_words_up_to(8):
+            p = poset_from_word(word)
+            for size in range(p.d + 1):
+                for subset in itertools.combinations(range(1, p.d + 1), size):
+                    pairwise = not any(
+                        p.comparable(a, b) for a, b in itertools.combinations(subset, 2)
+                    )
+                    assert is_antichain(p, subset) == pairwise, (word.bits, subset)
 
     @pytest.mark.parametrize(
         "word, count", [("10010111", 32), ("101110", 16), ("1", 2)]

@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
+from snakeword.bijections import subword_to_antichain
 from snakeword.errors import CapExceededError, EmptyWordError, NotASubwordError
 from snakeword.snake import (
     Edge,
-    anchor_tiles,
     enumerate_perfect_matchings,
     filter_region,
     filter_region_block,
@@ -240,7 +240,7 @@ class TestRegions:
 
     def test_filter_region_example(self):
         w = parse_word("1011101100")
-        assert anchor_tiles(w, parse_word("101101100")) == (4, 10)
+        assert subword_to_antichain(w, parse_word("101101100")) == (4, 10)
         assert filter_region(w, parse_word("101101100")) == frozenset({4, 5, 8, 9, 10})
         assert filter_region(w, parse_word("11010")) == frozenset({1, 3, 4, 5, 7, 8, 9})
 
