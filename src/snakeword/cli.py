@@ -40,6 +40,13 @@ def _resolve_cap(args: argparse.Namespace) -> int:
         raise SnakewordError(f"{CAP_ENV_VAR} is not an integer: {value!r}") from None
 
 
+def _host_word(text: str) -> BinaryWord:
+    word = parse_word(text)
+    if not len(word):
+        raise SnakewordError(f"the host word must be nonempty, got {text!r}")
+    return word
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
@@ -61,7 +68,7 @@ def _counts(word: BinaryWord, cap: int) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    word = parse_word(args.word)
+    word = _host_word(args.word)
     cap = _resolve_cap(args)
     blocks = factor_blocks(word)
     marks = extrema(poset_from_word(word))
@@ -86,14 +93,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    word = parse_word(args.word)
+    word = _host_word(args.word)
     counts = {"word": word.bits, **_counts(word, _resolve_cap(args))}
     _emit(render.to_json(counts), args.output)
     return 0 if counts["agree"] else 1
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    word = parse_word(args.word)
+    word = _host_word(args.word)
     kind = args.kind
     fmt = args.format or KIND_FORMATS[kind][0]
     if fmt not in KIND_FORMATS[kind]:
@@ -150,7 +157,7 @@ def _parse_antichain(operand: str) -> tuple[int, ...]:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    word = parse_word(args.word)
+    word = _host_word(args.word)
     if args.direction == "f":
         antichain = _parse_antichain(args.operand)
         subword = antichain_to_subword(word, antichain)
@@ -174,7 +181,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     if args.word is not None:
-        word_iter = [parse_word(args.word)]
+        word_iter = [_host_word(args.word)]
         scope = {"word": args.word}
     else:
         bound = args.max_length

@@ -117,39 +117,44 @@ def enumerate_antichains(
 
 
 def up_closure(poset: PiecewisePoset, antichain: Iterable[int]) -> frozenset[int]:
-    """The order filter generated by an antichain."""
+    """The order filter generated by an antichain.
+
+    Element t lies below exactly the elements of its two monotone stretches:
+    leftwards while the letters are 0, rightwards while they are 1."""
     items = tuple(sorted(set(antichain)))
     if not is_antichain(poset, items):
         raise NotAnAntichainError(f"{items} contains comparable elements")
-    return frozenset(
-        j for j in range(1, poset.d + 1) if any(poset.less_equal(t, j) for t in items)
-    )
+    bits, d = poset.word.bits, poset.d
+    up: set[int] = set()
+    for t in items:
+        up.update(range(bits.rfind("1", 0, t) + 1, bits.find("0", t) + 1 or d + 1))
+    return frozenset(up)
+
+
+def _upper_covers(poset: PiecewisePoset, t: int) -> tuple[int, ...]:
+    """The elements covering t: t+1 when letter t+1 is 1, t-1 when letter t
+    is 0 (letter 1 is always 1, so element 1 has no cover on its left)."""
+    bits = poset.word.bits
+    right = (t + 1,) if t < poset.d and bits[t] == "1" else ()
+    return right + ((t - 1,) if bits[t - 1] == "0" else ())
 
 
 def is_order_filter(poset: PiecewisePoset, elements: Iterable[int]) -> bool:
-    """True iff the set is upward closed."""
+    """True iff the set is upward closed, that is, holds the upper covers of
+    its members."""
     members = set(elements)
     poset._check(*members)
-    return all(
-        j in members
-        for t in members
-        for j in range(1, poset.d + 1)
-        if poset.less_equal(t, j)
-    )
+    return all(c in members for t in members for c in _upper_covers(poset, t))
 
 
 def min_elements(poset: PiecewisePoset, filt: Iterable[int]) -> tuple[int, ...]:
-    """The minimal elements of an order filter; inverse of :func:`up_closure`."""
+    """The minimal elements of an order filter, the members that cover no
+    other member; inverse of :func:`up_closure`."""
     members = set(filt)
     if not is_order_filter(poset, members):
         raise NotAFilterError(f"{sorted(members)} is not upward closed")
-    return tuple(
-        sorted(
-            t
-            for t in members
-            if not any(s != t and poset.less_equal(s, t) for s in members)
-        )
-    )
+    covers = {c for t in members for c in _upper_covers(poset, t)}
+    return tuple(sorted(members - covers))
 
 
 def enumerate_order_filters(

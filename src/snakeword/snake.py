@@ -1,12 +1,14 @@
 """Snake graphs from binary words: tile geometry, the two-valued edge sign
 function, the minimal matching, perfect-matching enumeration, and the map
-from subwords to perfect matchings via filter regions.
+from subwords to perfect matchings.
 
 A snake graph with d tiles is laid out on the unit lattice: tile 1 sits at
 (0, 0) and each later tile is glued north or east of the previous one. Every
 vertex lies on the outer face, so the boundary edges form a single cycle
-through all 2d+2 vertices; this is what makes the minimal matching unique
-and forced.
+through all 2d+2 vertices; the minimal matching is every other edge of it.
+:func:`matching_for_subword` reads the filter region as the up-closure of
+the subword's antichain; :func:`filter_region`, the paper's search over
+runs of tiles, is its geometric cross-check and what renderings shade.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     InvariantError,
     NoQualifyingRegionError,
 )
+from .posets import poset_from_word, up_closure
 from .words import DEFAULT_CAP, BinaryWord, leftmost_embedding
 
 NORTH = "N"
@@ -92,10 +95,12 @@ class SnakeGraph:
         return frozenset(self.edges()) - frozenset(self.interior_edges())
 
     def vertices(self) -> frozenset[tuple[int, int]]:
-        points = set()
-        for x, y in self.tiles:
-            points.update({(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)})
-        return frozenset(points)
+        return _corners(self.tiles)
+
+
+def _corners(tiles: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The vertices of the tiles with these southwest corners."""
+    return frozenset((x + i, y + j) for x, y in tiles for i in (0, 1) for j in (0, 1))
 
 
 def snake_from_word(word: BinaryWord) -> SnakeGraph:
@@ -163,36 +168,16 @@ def _covers_exactly(vertices: frozenset[tuple[int, int]], edges: Iterable[Edge])
 @lru_cache(maxsize=None)
 def minimal_matching(graph: SnakeGraph) -> frozenset[Edge]:
     """The unique boundary-only perfect matching containing the south edge
-    of tile 1, built by forced propagation around the boundary cycle."""
-    boundary = graph.boundary_edges()
-    incident: dict[tuple[int, int], list[Edge]] = {}
-    for edge in boundary:
-        for point in edge.endpoints:
-            incident.setdefault(point, []).append(edge)
-
-    chosen = {graph.tile_sides(1)["south"]}
-    covered = set()
-    for edge in chosen:
-        covered.update(edge.endpoints)
-    uncovered = set(graph.vertices()) - covered
-    while uncovered:
-        progress = False
-        for vertex in sorted(uncovered):
-            free = [
-                e
-                for e in incident[vertex]
-                if not covered.intersection(e.endpoints)
-            ]
-            if len(free) == 1:
-                chosen.add(free[0])
-                covered.update(free[0].endpoints)
-                uncovered.difference_update(free[0].endpoints)
-                progress = True
-        if not progress:
-            raise InvariantError("minimal matching propagation stalled")
+    of tile 1: every other edge of the boundary cycle, starting there."""
+    # The cycle runs out along the south-east side and back along the
+    # north-west side; past each tile, both sides turn with the next move.
+    turns = ["V" if move == NORTH else "H" for move in graph.moves]
+    out = [Edge(x + 1, y, o) for (x, y), o in zip(graph.tiles, turns + ["V"])]
+    back = [Edge(x, y + 1, o) for (x, y), o in zip(graph.tiles, turns + ["H"])]
+    chosen = frozenset([Edge(0, 0, "H"), *out, *back[::-1], Edge(0, 0, "V")][::2])
     if not is_perfect_matching(graph, chosen):
         raise InvariantError("minimal matching is not a perfect matching")
-    return frozenset(chosen)
+    return chosen
 
 
 @lru_cache(maxsize=8)
@@ -255,13 +240,7 @@ def filter_region_block(graph: SnakeGraph, t: int) -> tuple[int, ...]:
         for start in range(max(1, t - size + 1), min(t, d - size + 1) + 1):
             run = tuple(range(start, start + size))
             edges = region_boundary(graph, run) - base
-            vertices = frozenset(
-                point
-                for i in run
-                for edge in graph.tile_sides(i).values()
-                for point in edge.endpoints
-            )
-            if _covers_exactly(vertices, edges):
+            if _covers_exactly(_corners(graph.tiles[i - 1] for i in run), edges):
                 return run
     raise NoQualifyingRegionError(f"no qualifying run of tiles around tile {t}")
 
@@ -283,11 +262,13 @@ def filter_region(word: BinaryWord, s: BinaryWord) -> frozenset[int]:
 
 def matching_for_subword(word: BinaryWord, s: BinaryWord) -> frozenset[Edge]:
     """The perfect matching attached to a subword: the symmetric difference
-    of the filter region's boundary with the minimal matching. The empty
-    subword, whose filter region is empty, maps to the minimal matching
-    itself."""
-    region = filter_region(word, s)
+    of the boundary of its filter region with the minimal matching. By the
+    filter identity the region is the up-closure of the anchors, the block
+    ends of the leftmost embedding, so no run search is needed. The empty
+    subword, whose region is empty, maps to the minimal matching itself."""
+    anchors = [end for _, end in leftmost_embedding(s, word).blocks] if len(s) else []
     graph = snake_from_word(word)
+    region = up_closure(poset_from_word(word), anchors)
     result = region_boundary(graph, region) ^ minimal_matching(graph)
     if not is_perfect_matching(graph, result):
         raise InvariantError("filter region gave a non-matching")

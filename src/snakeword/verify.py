@@ -344,19 +344,23 @@ def verify_words(
 ) -> dict:
     """Run the named checks over the words and aggregate a report.
 
-    The report maps each check to pass/fail, a failure count, and the first
-    counterexample. ``report["passed"]`` is the overall verdict.
+    The report maps each check to pass/fail, a failure count, the first
+    counterexample, and its seconds (a structure shared by checks counts
+    toward the first that builds it). ``report["passed"]`` is the verdict.
     """
     names = list(check_names) if check_names is not None else list(CHECKS)
     failures = {name: 0 for name in names}
     counterexamples: dict[str, str | None] = {name: None for name in names}
+    seconds = {name: 0.0 for name in names}
     started = time.perf_counter()
     words_checked = 0
     for word in word_iter:
         words_checked += 1
         ctx = WordContext(word, cap=cap)
         for name in names:
+            check_started = time.perf_counter()
             problems = CHECKS[name](ctx)
+            seconds[name] += time.perf_counter() - check_started
             if problems:
                 failures[name] += len(problems)
                 if counterexamples[name] is None:
@@ -371,6 +375,7 @@ def verify_words(
                 "passed": failures[name] == 0,
                 "failures": failures[name],
                 "counterexample": counterexamples[name],
+                "elapsed_seconds": round(seconds[name], 3),
             }
             for name in names
         ],

@@ -165,6 +165,26 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: SNAKEWORD_CAP") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", ""],
+            ["count", ""],
+            ["render", "", "--kind", "hasse"],
+            ["render", "", "--kind", "snake", "--matching", ""],
+            ["map", "", "f", ""],
+            ["map", "", "finv", ""],
+            ["map", "", "pm", "1"],
+            ["map", "", "record", ""],
+            ["verify", "--word", ""],
+        ],
+    )
+    def test_empty_host_word(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the host word must be nonempty, got ''\n"
+
 
 class TestVerify:
     def test_single_word(self, capsys):
@@ -191,6 +211,9 @@ class TestVerify:
         names = {check["name"] for check in report["checks"]}
         assert "pm-bijection" in names and "trie-equivalence" in names
         assert all(check["passed"] for check in report["checks"])
+        for check in report["checks"]:
+            assert isinstance(check["elapsed_seconds"], float), check
+            assert check["elapsed_seconds"] >= 0, check
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--max-length", "13")

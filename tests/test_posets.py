@@ -121,6 +121,13 @@ class TestAntichains:
                         p.comparable(a, b) for a, b in itertools.combinations(subset, 2)
                     )
                     assert is_antichain(p, subset) == pairwise, (word.bits, subset)
+                    upward = all(
+                        j in subset
+                        for t in subset
+                        for j in range(1, p.d + 1)
+                        if p.less_equal(t, j)
+                    )
+                    assert is_order_filter(p, subset) == upward, (word.bits, subset)
 
     @pytest.mark.parametrize(
         "word, count", [("10010111", 32), ("101110", 16), ("1", 2)]

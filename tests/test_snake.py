@@ -1,11 +1,13 @@
 """Snake-graph geometry, sign function, matchings, and filter regions."""
 
 import itertools
+import random
 
 import pytest
 
 from snakeword.bijections import subword_to_antichain
 from snakeword.errors import CapExceededError, EmptyWordError, NotASubwordError
+from snakeword.posets import min_elements, poset_from_word, up_closure
 from snakeword.snake import (
     Edge,
     enumerate_perfect_matchings,
@@ -272,3 +274,48 @@ class TestSubwordMatching:
                 assert matching not in images, (w.bits, s.bits)
                 images.add(matching)
             assert images == set(enumerate_perfect_matchings(graph)), w.bits
+
+
+class TestSeededMapLayer:
+    """The map layer checked against the oracles and the geometric
+    construction on seeded random hosts, well past the exhaustive sweeps."""
+
+    @staticmethod
+    def cases(count=12, seed=20191):
+        rng = random.Random(seed)
+        for k in range(count):
+            d = 50 + k * 350 // (count - 1)
+            word = BinaryWord("1" + "".join(rng.choice("01") for _ in range(d - 1)))
+            for keep in (0.2, 0.5, 0.8):
+                sub = "".join(c for c in word.bits if rng.random() < keep)
+                yield word, BinaryWord(sub.lstrip("0"))
+
+    def test_up_closure_and_min_elements(self):
+        for word, s in self.cases():
+            poset = poset_from_word(word)
+            antichain = subword_to_antichain(word, s)
+            closure = up_closure(poset, antichain)
+            expected = {
+                j
+                for j in range(1, poset.d + 1)
+                if any(poset.less_equal(t, j) for t in antichain)
+            }
+            assert closure == expected, (word.bits, s.bits)
+            assert min_elements(poset, closure) == antichain, (word.bits, s.bits)
+
+    def test_matching_is_the_geometric_construction(self):
+        for word, s in self.cases():
+            graph = snake_from_word(word)
+            base = minimal_matching(graph)
+            matching = matching_for_subword(word, s)
+            expected = region_boundary(graph, filter_region(word, s)) ^ base
+            assert matching == expected, (word.bits, s.bits)
+            assert is_perfect_matching(graph, matching), (word.bits, s.bits)
+
+    def test_minimal_matching(self):
+        for word, _ in self.cases():
+            graph = snake_from_word(word)
+            base = minimal_matching(graph)
+            assert is_perfect_matching(graph, base), word.bits
+            assert base <= graph.boundary_edges(), word.bits
+            assert graph.tile_sides(1)["south"] in base, word.bits

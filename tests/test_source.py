@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import snakeword
@@ -8,15 +9,39 @@ import snakeword
 SOURCE = Path(snakeword.__file__).parent
 
 
+def source_nodes():
+    """(file name, node) for every AST node of the package modules."""
+    paths = sorted(SOURCE.glob("*.py"))
+    assert len(paths) >= 9, paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     """Invariants raise ``InvariantError``, because ``python -O`` strips
     ``assert`` statements."""
-    paths = sorted(SOURCE.glob("*.py"))
-    assert len(paths) >= 9, paths
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, node in source_nodes()
         if isinstance(node, ast.Assert)
     ]
+    assert not found, found
+
+
+def test_stdlib_only_imports():
+    """Every import is relative or from the standard library."""
+    found = []
+    for name, node in source_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{name}:{node.lineno} {module}"
+            for module in modules
+            if module.partition(".")[0] not in sys.stdlib_module_names
+        ]
     assert not found, found
