@@ -84,19 +84,19 @@ class CorrespondenceRecord:
 def full_correspondence(word: BinaryWord, s: BinaryWord) -> CorrespondenceRecord:
     """Compute subword, antichain, filter, and matching together, checking
     that they agree with one another."""
-    antichain = subword_to_antichain(word, s)
-    order_filter = up_closure(poset_from_word(word), antichain)
+    embedding = leftmost_embedding(s, word) if len(s) else None
+    indices, blocks = (embedding.indices, embedding.blocks) if embedding else ((), ())
+    # the antichain of subword_to_antichain, from the same embedding
+    antichain = tuple(end for _, end in blocks)
+    poset = poset_from_word(word)
+    if not is_antichain(poset, antichain):
+        raise InvariantError(f"{antichain} is not an antichain")
+    order_filter = up_closure(poset, antichain)
     matching = matching_for_subword(word, s)
     if filter_region(word, s) != order_filter:
         raise InvariantError(f"filter region of {s.bits!r} is not its up-closure")
     if antichain_to_subword(word, antichain) != s:
         raise InvariantError(f"antichain {antichain} does not map back to {s.bits!r}")
-
-    if len(s):
-        embedding = leftmost_embedding(s, word)
-        indices, blocks = embedding.indices, embedding.blocks
-    else:
-        indices, blocks = (), ()
     return CorrespondenceRecord(
         word=word,
         subword=s,

@@ -9,6 +9,7 @@ slope is constant between them.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -94,25 +95,29 @@ def is_antichain(poset: PiecewisePoset, elements: Iterable[int]) -> bool:
 def enumerate_antichains(
     poset: PiecewisePoset, cap: int = DEFAULT_CAP
 ) -> tuple[tuple[int, ...], ...]:
-    """All antichains (including the empty one), by brute force over subsets,
-    sorted by size then lexicographically."""
+    """All antichains (including the empty one), grown by definition: an
+    antichain extends by a larger element incomparable with every member.
+    Sorted by size then lexicographically."""
     d = poset.d
     if d > cap:
         raise CapExceededError(f"poset size {d} exceeds the oracle cap {cap}")
-    comp = [
-        [poset.comparable(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)
-    ]
+    # bit j of free[i] is set when j is incomparable with i
+    free = [0] * (d + 1)
+    for i, j in itertools.combinations(range(1, d + 1), 2):
+        if not poset.comparable(i, j):
+            free[i] |= 1 << j
+            free[j] |= 1 << i
+    # each level, grown from a lexicographic level, is lexicographic itself
+    level = [((), (1 << d + 1) - 2)]
     found = []
-    for mask in range(1 << d):
-        members = [i + 1 for i in range(d) if mask >> i & 1]
-        ok = all(
-            not comp[a - 1][b - 1]
-            for k, a in enumerate(members)
-            for b in members[k + 1 :]
-        )
-        if ok:
-            found.append(tuple(members))
-    found.sort(key=lambda a: (len(a), a))
+    while level:
+        found += [members for members, _ in level]
+        level = [
+            ((*members, j), allowed & free[j])
+            for members, allowed in level
+            for j in range(members[-1] + 1 if members else 1, d + 1)
+            if allowed >> j & 1
+        ]
     return tuple(found)
 
 
@@ -160,23 +165,23 @@ def min_elements(poset: PiecewisePoset, filt: Iterable[int]) -> tuple[int, ...]:
 def enumerate_order_filters(
     poset: PiecewisePoset, cap: int = DEFAULT_CAP
 ) -> tuple[frozenset[int], ...]:
-    """All upward-closed subsets, by brute force over subsets."""
+    """All upward-closed subsets, grown by definition: elements 1..d are
+    decided in order, t goes in only if every decided element above it is
+    in, and stays out only if no decided element below it is in. A
+    consistent partial choice always extends, so no branch dead-ends."""
     d = poset.d
     if d > cap:
         raise CapExceededError(f"poset size {d} exceeds the oracle cap {cap}")
-    up_mask = [0] * (d + 1)
+    # bits of elements decided before t that lie above / below t
+    above, below = [0] * (d + 1), [0] * (d + 1)
+    for s, t in itertools.combinations(range(1, d + 1), 2):
+        above[t] |= poset.less_equal(t, s) << s
+        below[t] |= poset.less_equal(s, t) << s
+    masks = [0]
     for t in range(1, d + 1):
-        for j in range(1, d + 1):
-            if poset.less_equal(t, j):
-                up_mask[t] |= 1 << (j - 1)
-    found = []
-    for mask in range(1 << d):
-        if all(
-            mask & up_mask[t] == up_mask[t]
-            for t in range(1, d + 1)
-            if mask >> (t - 1) & 1
-        ):
-            found.append(frozenset(i + 1 for i in range(d) if mask >> i & 1))
+        kept_out = [m for m in masks if below[t] & m == 0]
+        masks = [m | 1 << t for m in masks if above[t] & ~m == 0] + kept_out
+    found = [frozenset(t for t in range(1, d + 1) if m >> t & 1) for m in masks]
     found.sort(key=lambda f: (len(f), sorted(f)))
     return tuple(found)
 

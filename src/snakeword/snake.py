@@ -29,9 +29,6 @@ from .words import DEFAULT_CAP, BinaryWord, leftmost_embedding
 NORTH = "N"
 EAST = "E"
 
-#: Tile side names in canonical order.
-SIDES = ("south", "east", "north", "west")
-
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -185,38 +182,42 @@ def enumerate_perfect_matchings(
     graph: SnakeGraph, cap: int = DEFAULT_CAP
 ) -> tuple[frozenset[Edge], ...]:
     """All perfect matchings, by backtracking over vertices in lexicographic
-    order; independent of any snake-specific structure."""
+    order: the first uncovered vertex is matched to each uncovered neighbour
+    in turn. Snake structure is not used; the search keeps its own stack."""
     if graph.tile_count > cap:
         raise CapExceededError(
             f"snake graph with {graph.tile_count} tiles exceeds the oracle cap {cap}"
         )
-    incident: dict[tuple[int, int], list[Edge]] = {v: [] for v in graph.vertices()}
-    for edge in graph.edges():
-        for point in edge.endpoints:
-            incident[point].append(edge)
-    order = sorted(incident)
-
-    found: list[frozenset[Edge]] = []
-    chosen: list[Edge] = []
-    covered: set[tuple[int, int]] = set()
-
-    def extend() -> None:
-        vertex = next((v for v in order if v not in covered), None)
-        if vertex is None:
-            found.append(frozenset(chosen))
-            return
-        for edge in incident[vertex]:
-            if covered.intersection(edge.endpoints):
-                continue
-            chosen.append(edge)
-            covered.update(edge.endpoints)
-            extend()
-            chosen.pop()
-            covered.difference_update(edge.endpoints)
-
-    extend()
-    found.sort(key=sorted)
-    return tuple(found)
+    edges = graph.edges()
+    index = {v: i for i, v in enumerate(sorted(graph.vertices()))}
+    n = len(index)
+    # an edge's first endpoint is its smaller one; every vertex before the
+    # first uncovered one is covered, so only edges to later vertices match it
+    ends = [tuple(index[p] for p in edge.endpoints) for edge in edges]
+    later: list[list[int]] = [[] for _ in range(n)]
+    for e, (i, _) in enumerate(ends):
+        later[i].append(e)
+    covered = [False] * n
+    chosen: list[int] = []
+    found = []
+    stack = [(0, e) for e in reversed(later[0])]  # (edges kept, next edge)
+    while stack:
+        depth, e = stack.pop()
+        for f in chosen[depth:]:
+            covered[ends[f][0]] = covered[ends[f][1]] = False
+        del chosen[depth:]
+        chosen.append(e)
+        i, j = ends[e]
+        covered[i] = covered[j] = True
+        while i < n and covered[i]:
+            i += 1
+        if i == n:
+            found.append(tuple(chosen))
+        else:
+            stack += [(depth + 1, f) for f in reversed(later[i]) if not covered[ends[f][1]]]
+    # edge numbers follow the sorted edge order, as do sorted edge lists
+    found.sort()
+    return tuple(frozenset(edges[e] for e in m) for m in found)
 
 
 def region_boundary(graph: SnakeGraph, region: Iterable[int]) -> frozenset[Edge]:

@@ -326,9 +326,6 @@ CHECKS: dict[str, Callable[[WordContext], list[str]]] = {
     "bijection-roundtrip": check_bijection_roundtrip,
 }
 
-#: The checks that stay cheap on longer words (no full enumerations).
-SIGN_CHECKS = ("sign-function", "minimal-matching")
-
 
 def all_words_up_to(max_length: int) -> Iterator[BinaryWord]:
     """Every nonempty binary word of length at most ``max_length``."""

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .trie import TrieNode, spine_with_copies
 
-#: Largest word length the brute-force enumerations accept by default.
+#: Largest word length the oracle enumerations accept by default.
 DEFAULT_CAP = 20
 
 
@@ -49,9 +49,6 @@ class BinaryWord:
     def bit(self, i: int) -> int:
         """The i-th letter as an int, 1-indexed."""
         return int(self.bits[i - 1])
-
-
-EMPTY_WORD = BinaryWord("")
 
 
 def parse_word(text: str) -> BinaryWord:
@@ -156,19 +153,18 @@ def leftmost_embedding(s: BinaryWord, w: BinaryWord) -> Embedding:
 
 
 def enumerate_subwords(word: BinaryWord, cap: int = DEFAULT_CAP) -> tuple[BinaryWord, ...]:
-    """All distinct subwords, by brute force over index subsets.
+    """All distinct subwords, grown by definition one letter at a time: a
+    subword of the first i letters skips letter i or ends with it. Only the
+    empty word and words starting with 1 are kept.
 
     Returns the empty word first, then length-lexicographic order.
     """
     d = len(word)
     if d > cap:
         raise CapExceededError(f"word length {d} exceeds the oracle cap {cap}")
-    bits = word.bits
-    seen = set()
-    for mask in range(1 << d):
-        sub = "".join(bits[i] for i in range(d) if mask >> i & 1)
-        if not sub or sub[0] == "1":
-            seen.add(sub)
+    seen = {""}
+    for c in word.bits:
+        seen |= {sub + c for sub in seen if sub or c == "1"}
     ordered = sorted(seen, key=lambda b: (len(b), b))
     return tuple(BinaryWord(b) for b in ordered)
 

@@ -158,6 +158,25 @@ class TestErrors:
         code, _, _ = run(capsys, "count", "101110", "--cap", "20")
         assert code == 0
 
+    def test_cap_boundary(self, capsys, monkeypatch):
+        """The default cap admits d=20 and refuses d=21 in one line."""
+        monkeypatch.delenv("SNAKEWORD_CAP", raising=False)
+        code, out, _ = run(capsys, "count", "10" * 10)
+        assert code == 0
+        counts = json.loads(out)
+        assert counts.pop("agree") is True
+        assert counts == {
+            "word": "10" * 10,
+            "subwords": 17711,
+            "antichains": 17711,
+            "order_filters": 17711,
+            "perfect_matchings": 17711,
+        }
+        code, out, err = run(capsys, "count", "10" * 10 + "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: word length 21 exceeds the oracle cap 20\n"
+
     def test_cap_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SNAKEWORD_CAP", "abc")
         code, out, err = run(capsys, "count", "101")

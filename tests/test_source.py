@@ -45,3 +45,37 @@ def test_stdlib_only_imports():
             if module.partition(".")[0] not in sys.stdlib_module_names
         ]
     assert not found, found
+
+
+#: The enumeration oracles, by module.
+ORACLES = {
+    "words.py": {"enumerate_subwords"},
+    "posets.py": {"enumerate_antichains", "enumerate_order_filters"},
+    "snake.py": {"enumerate_perfect_matchings"},
+}
+
+#: Constructions the oracles check, which an oracle must therefore not use.
+FAST_PATH = {
+    "_greedy",
+    "is_subword",
+    "leftmost_embedding",
+    "spine_with_copies",
+    "is_antichain",
+    "up_closure",
+    "_upper_covers",
+    "minimal_matching",
+}
+
+
+def test_oracles_stay_independent():
+    """No oracle reaches a construction it is used to check."""
+    seen, found = set(), []
+    for name, node in source_nodes():
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLES.get(name, ()):
+            seen.add(node.name)
+            for inner in ast.walk(node):
+                ref = getattr(inner, "id", None) or getattr(inner, "attr", None)
+                if ref in FAST_PATH:
+                    found.append(f"{name}:{inner.lineno} {node.name} uses {ref}")
+    assert seen == set().union(*ORACLES.values()), seen
+    assert not found, found
