@@ -42,13 +42,11 @@ class PiecewisePoset:
 
     def less_equal(self, i: int, j: int) -> bool:
         """True iff element i is below-or-equal element j."""
-        self._check(i, j)
-        if i == j:
-            return True
+        bits = self.word.bits
+        if not (0 < i <= len(bits) and 0 < j <= len(bits)):
+            self._check(i, j)
         # bits[i:j] holds letters i+1..j; a monotone run means comparability
-        if i < j:
-            return "0" not in self.word.bits[i:j]
-        return "1" not in self.word.bits[j:i]
+        return bits.find("0", i, j) < 0 if i <= j else bits.find("1", j, i) < 0
 
     def comparable(self, i: int, j: int) -> bool:
         return self.less_equal(i, j) or self.less_equal(j, i)

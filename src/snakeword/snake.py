@@ -6,6 +6,8 @@ A snake graph with d tiles is laid out on the unit lattice: tile 1 sits at
 (0, 0) and each later tile is glued north or east of the previous one. Every
 vertex lies on the outer face, so the boundary edges form a single cycle
 through all 2d+2 vertices; the minimal matching is every other edge of it.
+Edges are named tuples and a graph equals and hashes as its word, so a
+cache lookup keyed by a graph costs one word hash.
 :func:`matching_for_subword` reads the filter region as the up-closure of
 the subword's antichain; :func:`filter_region`, the paper's search over
 runs of tiles, is its geometric cross-check and what renderings shade.
@@ -14,12 +16,14 @@ runs of tiles, is its geometric cross-check and what renderings shade.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
     EmptyWordError,
+    IndexOutOfRangeError,
     InvariantError,
     NoQualifyingRegionError,
 )
@@ -30,12 +34,11 @@ NORTH = "N"
 EAST = "E"
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """A unit lattice segment keyed by its smaller endpoint.
 
     ``orientation`` is "H" for the segment (x,y)-(x+1,y) and "V" for
-    (x,y)-(x,y+1).
+    (x,y)-(x,y+1). Hashes, compares and sorts as ``(x, y, orientation)``.
     """
 
     x: int
@@ -52,13 +55,19 @@ class Edge:
         return f"{self.orientation}({self.x},{self.y})"
 
 
+def _sides(x: int, y: int) -> tuple[Edge, Edge, Edge, Edge]:
+    """South, east, north and west sides of the tile with southwest corner (x, y)."""
+    return Edge(x, y, "H"), Edge(x + 1, y, "V"), Edge(x, y + 1, "H"), Edge(x, y, "V")
+
+
 @dataclass(frozen=True)
 class SnakeGraph:
-    """d unit tiles glued by north/east moves; tile 1 at the origin."""
+    """d unit tiles glued by north/east moves; tile 1 at the origin. The word
+    fixes the tiles and moves, so a graph equals and hashes as its word."""
 
     word: BinaryWord
-    tiles: tuple[tuple[int, int], ...]
-    moves: tuple[str, ...]
+    tiles: tuple[tuple[int, int], ...] = field(compare=False)
+    moves: tuple[str, ...] = field(compare=False)
 
     @property
     def tile_count(self) -> int:
@@ -66,13 +75,13 @@ class SnakeGraph:
 
     def tile_sides(self, i: int) -> dict[str, Edge]:
         """The four edges of tile i (1-indexed)."""
-        x, y = self.tiles[i - 1]
-        return {
-            "south": Edge(x, y, "H"),
-            "east": Edge(x + 1, y, "V"),
-            "north": Edge(x, y + 1, "H"),
-            "west": Edge(x, y, "V"),
-        }
+        self._check(i)
+        return dict(zip(("south", "east", "north", "west"), _sides(*self.tiles[i - 1])))
+
+    def _check(self, *tiles: int) -> None:
+        for t in tiles:
+            if not 1 <= t <= self.tile_count:
+                raise IndexOutOfRangeError(f"tile {t} outside 1..{self.tile_count}")
 
     def interior_edges(self) -> tuple[Edge, ...]:
         """Edge k is shared by tiles k and k+1."""
@@ -83,10 +92,7 @@ class SnakeGraph:
         return tuple(shared)
 
     def edges(self) -> tuple[Edge, ...]:
-        seen = set()
-        for i in range(1, self.tile_count + 1):
-            seen.update(self.tile_sides(i).values())
-        return tuple(sorted(seen))
+        return tuple(sorted({edge for tile in self.tiles for edge in _sides(*tile)}))
 
     def boundary_edges(self) -> frozenset[Edge]:
         return frozenset(self.edges()) - frozenset(self.interior_edges())
@@ -223,9 +229,12 @@ def enumerate_perfect_matchings(
 def region_boundary(graph: SnakeGraph, region: Iterable[int]) -> frozenset[Edge]:
     """Edges adjacent to exactly one tile of the region (non-region tiles
     and the exterior both count as outside)."""
+    tiles = set(region)
+    if tiles:
+        graph._check(min(tiles), max(tiles))
     counts: dict[Edge, int] = {}
-    for t in set(region):
-        for edge in graph.tile_sides(t).values():
+    for t in tiles:
+        for edge in _sides(*graph.tiles[t - 1]):
             counts[edge] = counts.get(edge, 0) + 1
     return frozenset(edge for edge, n in counts.items() if n == 1)
 

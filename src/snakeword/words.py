@@ -180,19 +180,21 @@ def naive_subword_trie(word: BinaryWord, cap: int = DEFAULT_CAP) -> TrieNode:
     """
     subs = {s.bits for s in enumerate_subwords(word, cap)}
     bits = word.bits
-
-    def build(sub: str) -> TrieNode:
-        node = TrieNode(label=sub, edge=sub[-1] if sub else None)
+    root = TrieNode(label="")
+    stack = [root]  # one entry per node, so deep words need no recursion
+    while stack:
+        node = stack.pop()
+        sub = node.label
         end = _greedy(sub, bits)[-1] if sub else 0
         if end < len(bits):
             cont = bits[end]
             other = "0" if cont == "1" else "1"
-            node.left = build(sub + cont)
+            node.left = TrieNode(label=sub + cont, edge=cont)
+            stack.append(node.left)
             if sub + other in subs:
-                node.right = build(sub + other)
-        return node
-
-    return build("")
+                node.right = TrieNode(label=sub + other, edge=other)
+                stack.append(node.right)
+    return root
 
 
 def lrs_subword_trie(word: BinaryWord) -> TrieNode:

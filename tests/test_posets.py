@@ -61,6 +61,18 @@ class TestPoset:
         with pytest.raises(IndexOutOfRangeError):
             poset("101").less_equal(1, 4)
 
+    def test_less_equal_matches_slice_definition(self):
+        for w in all_words_up_to(9):
+            p = poset_from_word(w)
+            for i, j in itertools.product(range(1, p.d + 1), repeat=2):
+                below = "0" not in w.bits[i:j] if i <= j else "1" not in w.bits[j:i]
+                assert p.less_equal(i, j) == below, (w.bits, i, j)
+            for bad in (0, -1, p.d + 1):
+                with pytest.raises(IndexOutOfRangeError):
+                    p.less_equal(bad, 1)
+                with pytest.raises(IndexOutOfRangeError):
+                    p.less_equal(1, bad)
+
     def test_closure_oracle(self):
         # transitive closure of the covering digraph, computed independently
         for w in all_words_up_to(7):

@@ -6,10 +6,16 @@ import random
 import pytest
 
 from snakeword.bijections import subword_to_antichain
-from snakeword.errors import CapExceededError, EmptyWordError, NotASubwordError
+from snakeword.errors import (
+    CapExceededError,
+    EmptyWordError,
+    IndexOutOfRangeError,
+    NotASubwordError,
+)
 from snakeword.posets import min_elements, poset_from_word, up_closure
 from snakeword.snake import (
     Edge,
+    SnakeGraph,
     enumerate_perfect_matchings,
     filter_region,
     filter_region_block,
@@ -120,6 +126,37 @@ class TestConstruction:
             assert len(graph.interior_edges()) == d - 1
 
 
+class TestValues:
+    """Edges and graphs are plain values: an edge is its field tuple, and a
+    graph is its word."""
+
+    def test_edge_is_its_field_tuple(self):
+        triples = [(x, y, o) for x in (2, 0, 1) for y in (1, 0) for o in "VH"]
+        for t in triples:
+            assert hash(Edge(*t)) == hash(t)
+        assert [tuple(e) for e in sorted(Edge(*t) for t in triples)] == sorted(triples)
+
+    def test_edge_text(self):
+        edge = Edge(3, 1, "V")
+        assert edge.endpoints == ((3, 1), (3, 2))
+        assert str(edge) == "V(3,1)"
+        assert repr(edge) == "Edge(x=3, y=1, orientation='V')"
+
+    def test_graph_equals_by_word(self):
+        w = parse_word("1011101100")
+        a, b = snake_from_word(w), snake_from_word(w)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a == SnakeGraph(w, (), ()) and hash(a) == hash(SnakeGraph(w, (), ()))
+        assert a != snake_from_word(parse_word("1011101101"))
+
+    def test_cache_hit_for_equal_graph(self):
+        w = parse_word("1011101100")
+        minimal_matching(snake_from_word(w))
+        hits = minimal_matching.cache_info().hits
+        assert minimal_matching(snake_from_word(w)) == MINIMAL_1011101100
+        assert minimal_matching.cache_info().hits == hits + 1
+
+
 class TestSigns:
     def test_interior_signs_spell_word(self):
         w = parse_word("1011101100")
@@ -217,6 +254,15 @@ class TestRegions:
     def test_empty(self):
         graph = snake_from_word(parse_word("101110"))
         assert region_boundary(graph, ()) == frozenset()
+
+    @pytest.mark.parametrize("tile", [0, -1, 11])
+    def test_tile_out_of_range(self, tile):
+        graph = snake_from_word(parse_word("1011101100"))
+        with pytest.raises(IndexOutOfRangeError, match=f"tile {tile} outside 1..10"):
+            graph.tile_sides(tile)
+        for region in ([tile], [1, tile, 10]):
+            with pytest.raises(IndexOutOfRangeError, match=f"tile {tile} outside 1..10"):
+                region_boundary(graph, region)
 
     def test_vertical_run(self):
         graph = snake_from_word(parse_word("1011101100"))

@@ -1,6 +1,7 @@
 """Word parsing, block factorization, embeddings, and the subword tries."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -191,6 +192,24 @@ class TestTries:
         assert node_count(root) == len(enumerate_subwords(w)) == 5
         assert root.right is None  # nothing may dangle from the root
         assert root.left.right.label == "10"
+
+    def test_naive_trie_needs_no_recursion(self):
+        """Under the default recursion limit of 1000, the prefix tree of a
+        1,100-letter word is one path of 1,101 nodes; a build nesting one
+        frame per letter overflows."""
+        d = 1100
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            root = naive_subword_trie(parse_word("1" * d), cap=2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        labels, node = [], root
+        while node is not None:
+            assert node.right is None, node.label
+            labels.append(node.label)
+            node = node.left
+        assert labels == ["1" * i for i in range(d + 1)]
 
     @pytest.mark.parametrize("bound", [8])
     def test_matches_oracle_exhaustively(self, bound):
